@@ -5,10 +5,11 @@ Equations 1–2 (inactivity scores and penalties, score floor, 16.75-ETH
 ejection), attestation rewards/penalties (leak-gated, capped at the maximum
 effective balance), slashing with exit scheduling and Casper FFG
 justification/finalization over flat checkpoint-vote arrays — with a
-vectorized ``"numpy"`` backend, a pure-loop ``"python"`` reference and an
-optional JIT-compiled ``"numba"`` backend (registered only when numba is
-installed), plus the seeded parallel trial runner and trial-batched engine
-used by the Monte-Carlo experiments.
+vectorized ``"numpy"`` backend and a pure-loop ``"python"`` reference,
+plus the one stake engine (:class:`BatchedStakeEngine`, whose ``trials=1``
+case is a single population) and the one chunked trial dispatcher
+(:mod:`repro.core.trials`) that the leak, Monte-Carlo and sweep layers
+share.
 """
 
 from repro.core.backend import (
@@ -27,18 +28,16 @@ from repro.core.backend import (
     available_backends,
     get_backend,
     leak_mask,
-    register_backend,
 )
 from repro.core.attestation_batch import AttestationBatch, AttestationColumns
 from repro.core.ffg import (
-    BatchedFinalityTracker,
     FinalityTracker,
     FlatVotePool,
     RatioFinality,
     finality_from_ratios,
     justified_at,
 )
-from repro.core.stake_engine import BatchedStakeEngine, StakeEngine
+from repro.core.stake_engine import BatchedStakeEngine
 from repro.core.trials import (
     DEFAULT_CHUNK_SIZE,
     TaskChunk,
@@ -49,15 +48,12 @@ from repro.core.trials import (
     plan_task_chunks,
     resolve_jobs,
     run_chunk_groups,
-    run_chunked,
     run_task_chunks,
-    run_trials,
 )
 
 __all__ = [
     "AttestationBatch",
     "AttestationColumns",
-    "BatchedFinalityTracker",
     "BatchedStakeEngine",
     "DEFAULT_CHUNK_SIZE",
     "EpochOutcome",
@@ -74,7 +70,6 @@ __all__ = [
     "SlashingEpochOutcome",
     "SlashingRules",
     "StakeBackend",
-    "StakeEngine",
     "StakeRules",
     "TaskChunk",
     "TrialChunk",
@@ -87,10 +82,7 @@ __all__ = [
     "parallel_map",
     "plan_chunks",
     "plan_task_chunks",
-    "register_backend",
     "resolve_jobs",
     "run_chunk_groups",
-    "run_chunked",
     "run_task_chunks",
-    "run_trials",
 ]

@@ -16,7 +16,7 @@ simulation (:mod:`repro.analysis.montecarlo`) and the per-node epoch
 processing behind :mod:`repro.sim` (:mod:`repro.spec.inactivity`,
 :mod:`repro.spec.rewards`, :mod:`repro.spec.slashing`) — delegates here.
 
-Two backends are always available:
+There are two backends:
 
 ``"numpy"``
     The fast path: vectorized element-wise updates over the whole
@@ -29,15 +29,6 @@ Two backends are always available:
     double operations in the same order per element, their trajectories are
     bit-identical — which the equivalence tests assert, and which makes the
     loop backend a trustworthy semantics oracle for the vectorized one.
-
-A third, *optional* backend is registered lazily when its dependency
-imports (see :func:`available_backends`):
-
-``"numba"``
-    JIT-compiled fused epoch kernels (:mod:`repro.core.backend_numba`),
-    pinned bit-identical to the numpy path by the same equivalence suites.
-    Requesting it without ``numba`` installed raises a :class:`ValueError`
-    naming the missing extra.
 
 The leak flag of the stake-dynamics and reward kernels may be a scalar
 bool or a *per-trial* array: a mask of shape ``(trials,)`` (or any prefix
@@ -961,48 +952,9 @@ _BACKENDS: Dict[str, Type[StakeBackend]] = {
     PythonBackend.name: PythonBackend,
 }
 
-#: Optional backends: name -> module that registers it on import.  Probed
-#: lazily (importing numba costs seconds) and at most once; a failed probe
-#: records the reason so ``get_backend`` can point at the missing extra.
-_OPTIONAL_BACKENDS: Dict[str, str] = {"numba": "repro.core.backend_numba"}
-_OPTIONAL_BACKEND_ERRORS: Dict[str, str] = {}
-_OPTIONAL_BACKENDS_PROBED = False
-
-
-def register_backend(backend_class: Type[StakeBackend]) -> Type[StakeBackend]:
-    """Register a backend class under its ``name`` (usable as a decorator)."""
-    _BACKENDS[backend_class.name] = backend_class
-    return backend_class
-
-
-def _probe_optional_backends() -> None:
-    """Import-register every optional backend whose dependency is present."""
-    global _OPTIONAL_BACKENDS_PROBED
-    if _OPTIONAL_BACKENDS_PROBED:
-        return
-    _OPTIONAL_BACKENDS_PROBED = True
-    import importlib
-
-    for name, module in _OPTIONAL_BACKENDS.items():
-        if name in _BACKENDS:
-            continue
-        try:
-            importlib.import_module(module)
-        except ImportError as exc:
-            _OPTIONAL_BACKEND_ERRORS[name] = (
-                f"backend {name!r} is optional and its dependency is not "
-                f"installed ({exc}); install it with `pip install {name}` "
-                f"(CI uses requirements-ci-numba.txt)"
-            )
-        except Exception as exc:  # pragma: no cover - e.g. broken numba install
-            _OPTIONAL_BACKEND_ERRORS[name] = (
-                f"backend {name!r} failed to initialise: {exc}"
-            )
-
 
 def available_backends() -> Tuple[str, ...]:
-    """Names of the registered backends (optional ones only when importable)."""
-    _probe_optional_backends()
+    """Names of the registered backends."""
     return tuple(sorted(_BACKENDS))
 
 
@@ -1026,13 +978,9 @@ def get_backend(
         if population is None:
             raise ValueError('backend "auto" needs the population size')
         backend = "python" if population < AUTO_BACKEND_THRESHOLD else "numpy"
-    if backend not in _BACKENDS:
-        _probe_optional_backends()
     try:
         return _BACKENDS[backend]()
     except KeyError:
-        if backend in _OPTIONAL_BACKEND_ERRORS:
-            raise ValueError(_OPTIONAL_BACKEND_ERRORS[backend]) from None
         raise ValueError(
             f"unknown backend {backend!r}; available: {available_backends()}"
         ) from None

@@ -16,8 +16,7 @@ dict walk at all.  Roots can be any hashable, mutually orderable keys
 (the spec layer uses :class:`repro.spec.types.Root`); they are interned
 to dense integer ids so the kernels work on pure integer arrays.
 
-:class:`FinalityTracker` (moved here from ``repro.core.stake_engine``,
-which re-exports it) is the *streaming* form of the branch-level
+:class:`FinalityTracker` is the *streaming* form of the branch-level
 justification rule the paper analyses — one active-stake ratio per epoch,
 two consecutive justified epochs finalize — and
 :func:`finality_from_ratios` is its vectorized counterpart, evaluating
@@ -483,53 +482,3 @@ class FinalityTracker:
         self.previous_active_ratio = active_ratio
         return justified, finalized_now
 
-
-class BatchedFinalityTracker:
-    """:class:`FinalityTracker` over a whole batch of trials at once.
-
-    Holds the streaming justification/finalization state of ``trials``
-    independent branches as flat arrays and consumes one ``(trials,)``
-    ratio vector per epoch.  Element ``t`` evolves exactly like a scalar
-    :class:`FinalityTracker` fed trial ``t``'s ratios (asserted by the
-    core FFG tests); epochs never observed report ``-1`` instead of
-    ``None`` so the state stays a fixed-dtype array.
-    """
-
-    def __init__(self, supermajority: float, trials: int) -> None:
-        if trials < 0:
-            raise ValueError("trials must be non-negative")
-        self.supermajority = supermajority
-        self.trials = trials
-        self.threshold_epoch = np.full(trials, -1, dtype=np.int64)
-        self.finalization_epoch = np.full(trials, -1, dtype=np.int64)
-        self.finalized = np.zeros(trials, dtype=bool)
-        self.previous_justified = np.zeros(trials, dtype=bool)
-        self.previous_active_ratio = np.zeros(trials, dtype=float)
-
-    @classmethod
-    def for_config(
-        cls, trials: int, config: "Optional[SpecConfig]" = None
-    ) -> "BatchedFinalityTracker":
-        from repro.spec.config import SpecConfig
-
-        cfg = config or SpecConfig.mainnet()
-        return cls(supermajority=cfg.supermajority_fraction, trials=trials)
-
-    def observe(
-        self, epoch: int, active_ratios: Sequence[float]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Record one epoch's ratios; returns ``(justified, finalized_now)`` masks."""
-        ratios = np.asarray(active_ratios, dtype=float)
-        if ratios.shape != (self.trials,):
-            raise ValueError(
-                f"expected ({self.trials},) active ratios, got shape {ratios.shape}"
-            )
-        justified = ratios >= self.supermajority
-        crossed = justified & (self.threshold_epoch < 0)
-        self.threshold_epoch[crossed] = epoch
-        finalized_now = justified & self.previous_justified & ~self.finalized
-        self.finalization_epoch[finalized_now] = epoch
-        self.finalized |= finalized_now
-        self.previous_justified = justified
-        self.previous_active_ratio = ratios
-        return justified, finalized_now

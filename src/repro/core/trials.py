@@ -1,29 +1,23 @@
 """Seeded, chunked, optionally-parallel trial execution.
 
-Monte-Carlo experiments run many independent seeded trials; this module
-gives them one execution engine with two guarantees:
+Every parallel workload in the package dispatches through one core,
+:func:`_dispatch_units`: serial below two workers, a
+``ProcessPoolExecutor`` otherwise, per-unit results flattened in plan
+order — so results never depend on ``jobs``.  Two planners feed it:
 
-* **Determinism** — every chunk of trials receives a child
-  :class:`numpy.random.SeedSequence` spawned from the root seed, and the
-  chunk plan depends only on ``(n_trials, chunk_size)``.  Results are
-  therefore identical whatever ``jobs`` is: a parallel run equals a serial
-  run bit for bit (the regression tests assert this).
-* **Throughput** — chunks are dispatched to a ``ProcessPoolExecutor`` when
-  ``jobs`` asks for more than one worker, and workers receive whole chunks
-  so the vectorized backends can batch every trial of a chunk into one
-  array program.
-
-``run_chunk_groups`` stacks contiguous chunks into larger kernel batches
-without touching the chunk plan, so batching is a pure throughput knob:
-results are independent of ``batch`` as well as ``jobs``.
-
-``run_task_chunks`` is the task-generic sibling: it chunks an arbitrary
-list of *task descriptions* (grid points, scenario/trial pairs, …) with
-the same contiguous, order-preserving plan and dispatches whole chunks to
-workers.  Tasks that carry their own determinism (a seed derived from the
-task content, as the slot-sim sweeps do) are jobs- and chunk-size-
-invariant by construction.  ``parallel_map`` is the per-item sibling used
-by deterministic closed-form grid sweeps.
+* :func:`run_chunk_groups` — seeded Monte-Carlo trials.  Every chunk of
+  trials receives a child :class:`numpy.random.SeedSequence` spawned from
+  the root seed, and the chunk plan depends only on ``(n_trials, seed,
+  chunk_size)``; contiguous chunks are stacked into kernel batches of up
+  to ``batch`` trials without touching the plan, so results are
+  independent of ``batch`` as well as ``jobs``.
+* :func:`run_task_chunks` — arbitrary picklable task descriptions (grid
+  points, ``(scenario, trial)`` pairs, trial indices, …) in contiguous,
+  order-preserving chunks, with per-chunk observation and cancellation
+  for the experiment service.  Tasks that carry their own determinism (a
+  seed derived from the task content, as the slot-sim sweeps do) are
+  jobs- and chunk-size-invariant by construction.  :func:`parallel_map`
+  is its per-item convenience form.
 """
 
 from __future__ import annotations
@@ -96,17 +90,6 @@ def plan_chunks(
     ]
 
 
-def _run_chunk_worker(
-    worker: Callable[..., Sequence[Any]], chunk: TrialChunk, args: Tuple[Any, ...]
-) -> List[Any]:
-    results = list(worker(chunk, *args))
-    if len(results) != chunk.size:
-        raise ValueError(
-            f"chunk worker returned {len(results)} results for {chunk.size} trials"
-        )
-    return results
-
-
 def _dispatch_units(
     unit_runner: Callable[..., List[Any]],
     worker: Callable[..., Sequence[Any]],
@@ -118,8 +101,8 @@ def _dispatch_units(
 ) -> List[Any]:
     """Run ``unit_runner(worker, unit, worker_args)`` for every unit; flatten.
 
-    The shared dispatch core behind every chunked runner in this module:
-    serial below two workers, a ``ProcessPoolExecutor`` otherwise, always
+    The one dispatch core behind every runner in this module: serial
+    below two workers, a ``ProcessPoolExecutor`` otherwise, always
     flattening per-unit result lists in submission order — so the output
     never depends on ``jobs``.
 
@@ -162,25 +145,6 @@ def _dispatch_units(
                     future.cancel()
                 raise
     return [result for unit_results in per_unit for result in unit_results]
-
-
-def run_chunked(
-    worker: Callable[..., Sequence[Any]],
-    n_trials: int,
-    *,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    worker_args: Tuple[Any, ...] = (),
-) -> List[Any]:
-    """Run ``worker(chunk, *worker_args)`` over every chunk; flatten in order.
-
-    ``worker`` must return one result per trial in the chunk and — when
-    ``jobs`` > 1 — must be picklable (a module-level function or a method
-    of a picklable object).
-    """
-    chunks = plan_chunks(n_trials, seed=seed, chunk_size=chunk_size)
-    return _dispatch_units(_run_chunk_worker, worker, chunks, worker_args, jobs)
 
 
 def group_chunks(
@@ -238,14 +202,14 @@ def run_chunk_groups(
 ) -> List[Any]:
     """Run ``worker(chunks, *worker_args)`` over groups of seeded chunks.
 
-    The trial-batched sibling of :func:`run_chunked`: the chunk plan (and
-    every per-chunk seed) is still a pure function of ``(n_trials, seed,
-    chunk_size)``, but workers receive whole *groups* of contiguous chunks
-    — up to ``batch`` trials each, default one group per dispatch of
-    everything — so a vectorized engine can advance all of a group's
-    trials per kernel call.  ``worker`` must return one result per trial,
-    in trial order across its chunks.  Results are identical whatever
-    ``jobs`` and ``batch`` are (asserted by the trials tests).
+    The chunk plan (and every per-chunk seed) is a pure function of
+    ``(n_trials, seed, chunk_size)``; workers receive whole *groups* of
+    contiguous chunks — up to ``batch`` trials each, default one group
+    per dispatch of everything — so a vectorized engine can advance all
+    of a group's trials per kernel call.  ``worker`` must return one
+    result per trial, in trial order across its chunks.  Results are
+    identical whatever ``jobs`` and ``batch`` are (asserted by the trials
+    tests).
     """
     chunks = plan_chunks(n_trials, seed=seed, chunk_size=chunk_size)
     groups = group_chunks(chunks, batch if batch is not None else n_trials)
@@ -346,54 +310,14 @@ def run_task_chunks(
     )
 
 
-class _PerTrialWorker:
-    """Adapts a per-trial function to the chunk interface (picklable).
+class _MapWorker:
+    """Picklable task-chunk worker applying ``fn`` to every task."""
 
-    Trial ``i`` always draws from ``SeedSequence(seed, spawn_key=(i,))`` —
-    the same child :meth:`~numpy.random.SeedSequence.spawn` would produce —
-    so per-trial streams are independent of the chunking as well.
-    """
+    def __init__(self, fn: Callable[[Any], Any]) -> None:
+        self.fn = fn
 
-    def __init__(self, trial_fn: Callable[..., Any], seed: int) -> None:
-        self.trial_fn = trial_fn
-        self.seed = seed
-
-    def __call__(self, chunk: TrialChunk, *args: Any) -> List[Any]:
-        return [
-            self.trial_fn(
-                index,
-                np.random.default_rng(
-                    np.random.SeedSequence(self.seed, spawn_key=(index,))
-                ),
-                *args,
-            )
-            for index in range(chunk.start, chunk.stop)
-        ]
-
-
-def run_trials(
-    trial_fn: Callable[..., Any],
-    n_trials: int,
-    *,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    trial_args: Tuple[Any, ...] = (),
-) -> List[Any]:
-    """Run ``trial_fn(trial_index, rng, *trial_args)`` for every trial.
-
-    Each trial gets its own deterministically-spawned generator, so the
-    result list is independent of both ``jobs`` and ``chunk_size``
-    (chunking only groups work for dispatch).
-    """
-    return run_chunked(
-        _PerTrialWorker(trial_fn, seed),
-        n_trials,
-        seed=seed,
-        jobs=jobs,
-        chunk_size=chunk_size,
-        worker_args=trial_args,
-    )
+    def __call__(self, chunk: TaskChunk) -> List[Any]:
+        return [self.fn(task) for task in chunk.tasks]
 
 
 def parallel_map(
@@ -405,14 +329,13 @@ def parallel_map(
 ) -> List[Any]:
     """Order-preserving map, optionally across processes.
 
-    For deterministic work (no RNG) such as closed-form grid sweeps.  With
-    ``jobs`` <= 1 this is a plain ``map``; results never depend on ``jobs``.
+    For work whose results are a pure function of each item — closed-form
+    grid points, or trials that seed themselves from their index.  Items
+    are dispatched in chunks through :func:`run_task_chunks` (default
+    chunk: a quarter of each worker's share), so results never depend on
+    ``jobs`` or ``chunk_size``; with ``jobs`` <= 1 this is a plain ``map``.
     """
     items = list(items)
-    n_workers = resolve_jobs(jobs)
-    if n_workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
     if chunk_size is None:
-        chunk_size = max(1, len(items) // (4 * n_workers))
-    with ProcessPoolExecutor(max_workers=min(n_workers, len(items))) as pool:
-        return list(pool.map(fn, items, chunksize=chunk_size))
+        chunk_size = max(1, len(items) // (4 * resolve_jobs(jobs)))
+    return run_task_chunks(_MapWorker(fn), items, jobs=jobs, chunk_size=chunk_size)

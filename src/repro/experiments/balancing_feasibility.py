@@ -12,19 +12,22 @@ validators N, adversarial count F).
 Each trial draws one uniformly random committee assignment (a seeded
 shuffle split into C equal committees, the slot-k proposer being the first
 member of committee k) and checks the roles; the feasibility probability
-is the fraction of feasible trials.  Trials run through the shared seeded
-executor (:func:`repro.core.trials.run_trials`), so results are identical
-at any ``--jobs`` level and reproducible from ``--seed``.
+is the fraction of feasible trials.  Trial ``i`` of grid point ``k``
+draws from ``SeedSequence(seed + k, spawn_key=(i,))`` and trials are
+mapped through the shared dispatcher (:func:`repro.core.trials.parallel_map`),
+so results are identical at any ``--jobs`` level and reproducible from
+``--seed``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.trials import run_trials
+from repro.core.trials import parallel_map
 
 
 def roles_feasible(
@@ -52,12 +55,14 @@ def roles_feasible(
 
 def _feasibility_trial(
     index: int,
-    rng: np.random.Generator,
+    *,
+    seed: int,
     n_validators: int,
     n_committees: int,
     n_adversarial: int,
     swayers_per_slot: int,
 ) -> bool:
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
     committee_size = n_validators // n_committees
     assignment = rng.permutation(n_validators)
     return roles_feasible(assignment, committee_size, n_adversarial, swayers_per_slot)
@@ -122,7 +127,7 @@ def run(
     """Sweep the balancing-attack feasibility probability over ``grid``.
 
     ``grid`` holds ``(C, N, F)`` points with ``N`` divisible by ``C``.
-    ``jobs`` parallelizes the trial chunks (``None``/1 serial, <=0 all
+    ``jobs`` parallelizes the trials (``None``/1 serial, <=0 all
     cores); seeded results are identical at any parallelism level.
     """
     points = [tuple(point) for point in (grid if grid is not None else default_grid())]
@@ -135,14 +140,16 @@ def run(
             raise ValueError(f"F={n_adversarial} out of range for N={n_validators}")
     probabilities: Dict[Tuple[int, int, int], float] = {}
     for position, (n_committees, n_validators, n_adversarial) in enumerate(points):
-        outcomes = run_trials(
+        trial = partial(
             _feasibility_trial,
-            n_trials,
             # Decorrelate grid points while keeping each reproducible.
             seed=seed + position,
-            jobs=jobs,
-            trial_args=(n_validators, n_committees, n_adversarial, swayers_per_slot),
+            n_validators=n_validators,
+            n_committees=n_committees,
+            n_adversarial=n_adversarial,
+            swayers_per_slot=swayers_per_slot,
         )
+        outcomes = parallel_map(trial, range(n_trials), jobs=jobs)
         probabilities[(n_committees, n_validators, n_adversarial)] = float(
             sum(outcomes)
         ) / float(n_trials)

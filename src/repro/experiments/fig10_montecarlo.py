@@ -152,7 +152,7 @@ def run(
     trial chunks of each Monte-Carlo run (``None``/1 serial, <=0 all
     cores), ``batch`` sets the trial-batched kernel width (``None`` = a
     cache-budgeted default) and ``backend`` selects the stake-dynamics
-    kernel (``numpy``, ``python``, or ``numba`` when installed); seeded
+    kernel (``numpy`` or ``python``); seeded
     results are identical at any parallelism or batch level.
     """
     record_epochs = plan_record_epochs(horizon, record_every)

@@ -265,8 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help=(
             "stake-dynamics kernel for experiments that accept one: "
-            "numpy, python, or numba when installed "
-            "(default: each experiment's own)"
+            "numpy or python (default: each experiment's own)"
         ),
     )
     parser.add_argument(

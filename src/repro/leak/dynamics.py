@@ -12,9 +12,10 @@ closed forms (:mod:`repro.analysis`) are validated, and the engine behind
 the long-horizon scenario experiments (Tables 2 and 3, Figures 3 and 7).
 
 The per-epoch stake/score/ejection arithmetic is delegated to the shared
-:class:`repro.core.StakeEngine` (one ledger entry per group), so this
-module only owns the branch bookkeeping: activity patterns, records, and
-justification/finalization via :class:`repro.core.FinalityTracker`.
+:class:`repro.core.BatchedStakeEngine` (one trial, one ledger entry per
+group), so this module only owns the branch bookkeeping: activity
+patterns, records, and justification/finalization via
+:class:`repro.core.FinalityTracker`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.backend import StakeBackend
-from repro.core.stake_engine import FinalityTracker, StakeEngine
+from repro.core.ffg import FinalityTracker
+from repro.core.stake_engine import BatchedStakeEngine
 from repro.leak.groups import BranchView, GroupLedger, GroupSpec
 from repro.spec.config import SpecConfig
 
@@ -113,8 +115,9 @@ class BranchSimulation:
     """Simulates one branch of the fork, epoch by epoch.
 
     The group ledgers are a dict-of-dataclasses *view* over the flat-array
-    :class:`StakeEngine` state; they are kept in sync after every step so
-    callers can keep reading ``simulation.ledgers[name].stake``.
+    state of a ``(1, groups)`` :class:`BatchedStakeEngine`; they are kept
+    in sync after every step so callers can keep reading
+    ``simulation.ledgers[name].stake``.
     """
 
     def __init__(
@@ -149,8 +152,8 @@ class BranchSimulation:
         # step() computes its own weighted sums (a handful of groups), but
         # the engine is a public attribute — give it the real weights so
         # engine.total_stake()/active_ratio() answer correctly for callers.
-        self.engine = StakeEngine(
-            [self.ledgers[name].stake for name in self._group_names],
+        self.engine = BatchedStakeEngine(
+            [[self.ledgers[name].stake for name in self._group_names]],
             weights=[self.ledgers[name].weight for name in self._group_names],
             config=self.config,
             backend=backend,
@@ -176,11 +179,16 @@ class BranchSimulation:
     def _sync_ledgers(self, epoch: int) -> List[str]:
         """Mirror the engine arrays back into the group ledgers."""
         ejected_now: List[str] = []
+        stakes, scores, ejected = (
+            self.engine.stakes[0],
+            self.engine.scores[0],
+            self.engine.ejected[0],
+        )
         for position, name in enumerate(self._group_names):
             ledger = self.ledgers[name]
-            ledger.stake = float(self.engine.stakes[position])
-            ledger.inactivity_score = float(self.engine.scores[position])
-            if bool(self.engine.ejected[position]) and not ledger.ejected:
+            ledger.stake = float(stakes[position])
+            ledger.inactivity_score = float(scores[position])
+            if bool(ejected[position]) and not ledger.ejected:
                 ledger.ejected = True
                 ledger.ejection_epoch = epoch
                 ejected_now.append(name)
@@ -207,7 +215,7 @@ class BranchSimulation:
 
         # 2-4. Penalties (Eq. 2), score updates (Eq. 1) and ejections, all
         # delegated to the shared kernel in protocol order.
-        self.engine.step(np.array(active_flags, dtype=bool), in_leak=in_leak)
+        self.engine.step(np.array([active_flags], dtype=bool), in_leak=in_leak)
         ejected_now = self._sync_ledgers(epoch)
         if ejected_now:
             self.result.ejections[epoch] = tuple(ejected_now)

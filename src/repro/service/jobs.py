@@ -9,9 +9,11 @@ leaves a readable record behind.
 Claiming is made safe against concurrent worker processes with an
 ``O_EXCL`` lock file per job under ``<service-dir>/locks/``: exactly one
 claimer wins, and :meth:`JobStore.recover` reclaims locks whose worker
-pid is dead (the SIGKILL path) by requeueing the job.  Progress already
-persisted per-trial in the result cache survives regardless, so a
-requeued job resumes instead of restarting.
+pid is dead (the SIGKILL path): a ``running`` job is requeued, and a
+``queued`` job whose claimant died before saving its claim just loses
+the stale lock.  Progress already persisted per-trial in the result
+cache survives regardless, so a requeued job resumes instead of
+restarting.
 """
 
 from __future__ import annotations
@@ -249,8 +251,22 @@ class JobStore:
         exhausted its budget fails instead of looping forever.  The
         per-trial results its worker stored before dying remain in the
         cache, so the requeued job resumes rather than restarts.
+
+        A claimant can also die between creating the lock and saving the
+        ``running`` record.  The job is still ``queued`` but no claim
+        can win it, so its lock is released when the pid written there
+        is dead; the claim never consumed an attempt, so none is charged.
         """
         recovered = []
+        for record in self.list_jobs(states=("queued",)):
+            try:
+                pid = int(self.lock_path(record.job_id).read_text())
+            except (OSError, ValueError):
+                continue  # no lock, or a claim still writing its pid
+            if _pid_alive(pid):
+                continue
+            self.release(record.job_id)
+            recovered.append(record)
         for record in self.list_jobs(states=("running",)):
             if _pid_alive(record.worker_pid):
                 continue

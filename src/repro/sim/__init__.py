@@ -21,9 +21,7 @@ from repro.sim.scenarios import (
 from repro.sim.sweeps import (
     ScenarioSpec,
     SweepResult,
-    run_sweep,
-    run_sweep_cached,
-    run_sweep_grid,
+    run_sweep_resumable,
     summarize_trial,
 )
 
@@ -46,8 +44,6 @@ __all__ = [
     "build_offline_fraction_simulation",
     "build_partitioned_simulation",
     "build_preset",
-    "run_sweep",
-    "run_sweep_cached",
-    "run_sweep_grid",
+    "run_sweep_resumable",
     "summarize_trial",
 ]

@@ -13,8 +13,8 @@ The per-validator arithmetic lives in :mod:`repro.core.backend`
 — the same vectorized kernel family as the inactivity leak — and this
 module only adapts the :class:`BeaconState` validator registry to the
 kernel's flat arrays (the registry round-trip itself is still O(n)
-Python; flat-array callers should use :class:`repro.core.StakeEngine`
-directly).
+Python; flat-array callers should use
+:class:`repro.core.BatchedStakeEngine` directly).
 """
 
 from __future__ import annotations

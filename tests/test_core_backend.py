@@ -22,7 +22,8 @@ from repro.core.backend import (
     get_backend,
     leak_mask,
 )
-from repro.core.stake_engine import FinalityTracker, StakeEngine
+from repro.core.ffg import FinalityTracker
+from repro.core.stake_engine import BatchedStakeEngine
 from repro.spec.config import SpecConfig
 from repro.spec.inactivity import (
     discrete_ejection_epoch,
@@ -55,10 +56,7 @@ def run_both_backends(stakes, scores, active_per_epoch, config, in_leak=True):
 
 class TestBackendRegistry:
     def test_available_backends(self):
-        # Superset, not equality: the optional numba backend joins the
-        # registry in environments (e.g. the dedicated CI leg) that have
-        # its dependency installed.
-        assert {"numpy", "python"} <= set(available_backends())
+        assert available_backends() == ("numpy", "python")
 
     def test_get_backend_by_name_and_instance(self):
         numpy_backend = get_backend("numpy")
@@ -260,50 +258,55 @@ class TestGoldenTrajectories:
 
 
 class TestStakeEngine:
+    """A single population: the ``trials=1`` case of the batched engine."""
+
     def test_engine_backends_bit_identical(self):
         rng = np.random.default_rng(11)
         engines = {
-            name: StakeEngine.uniform(8, config=FAST, backend=name)
+            name: BatchedStakeEngine.uniform(1, 8, config=FAST, backend=name)
             for name in ("numpy", "python")
         }
         for _ in range(200):
-            active = rng.random(8) < 0.5
+            active = rng.random((1, 8)) < 0.5
             for engine in engines.values():
                 engine.step(active)
         assert np.array_equal(engines["numpy"].stakes, engines["python"].stakes)
         assert np.array_equal(engines["numpy"].scores, engines["python"].scores)
         assert np.array_equal(engines["numpy"].ejected, engines["python"].ejected)
-        assert engines["numpy"].ejection_epochs == engines["python"].ejection_epochs
+        assert np.array_equal(
+            engines["numpy"].ejection_epoch, engines["python"].ejection_epoch
+        )
 
     def test_engine_validates_inputs(self):
         with pytest.raises(ValueError):
-            StakeEngine([])
+            BatchedStakeEngine([[]])
         with pytest.raises(ValueError):
-            StakeEngine([32.0, 32.0], weights=[1.0])
-        engine = StakeEngine.uniform(3)
+            BatchedStakeEngine([[32.0, 32.0]], weights=[1.0, 1.0, 1.0])
+        engine = BatchedStakeEngine.uniform(1, 3)
         with pytest.raises(ValueError):
-            engine.step([True, False])  # wrong shape
+            engine.step([[True, False]])  # wrong shape
 
     def test_effective_stake_and_ratio(self):
-        engine = StakeEngine(
-            [32.0, 32.0], weights=[0.25, 0.75], config=MAINNET, backend="numpy"
+        engine = BatchedStakeEngine(
+            [[32.0, 32.0]], weights=[0.25, 0.75], config=MAINNET, backend="numpy"
         )
-        assert engine.total_stake() == pytest.approx(32.0)
-        assert engine.active_ratio([True, False]) == pytest.approx(0.25)
-        engine.ejected[1] = True
-        assert engine.total_stake() == pytest.approx(8.0)
-        assert engine.active_ratio([True, True]) == pytest.approx(1.0)
+        assert engine.total_stake()[0] == pytest.approx(32.0)
+        assert engine.active_ratio([[True, False]])[0] == pytest.approx(0.25)
+        engine.ejected[0, 1] = True
+        assert engine.total_stake()[0] == pytest.approx(8.0)
+        assert engine.active_ratio([[True, True]])[0] == pytest.approx(1.0)
 
     def test_ejection_epochs_recorded(self):
-        engine = StakeEngine.uniform(2, config=FAST)
-        inactive = np.array([False, True])
+        engine = BatchedStakeEngine.uniform(1, 2, config=FAST)
+        inactive = np.array([[False, True]])
         for _ in range(500):
             engine.step(~inactive)
             if engine.ejected.any():
                 break
-        # Only the inactive validator (index 1... active mask is ~inactive,
-        # i.e. index 0 active) — the inactive one leaks and gets ejected.
-        assert list(engine.ejection_epochs) == [1]
+        # Index 0 is active; the inactive index 1 leaks and is ejected at
+        # the epoch of the step that ejected it.
+        assert engine.ejection_epoch[0, 0] == -1
+        assert engine.ejection_epoch[0, 1] == engine.epoch - 1
 
 
 class TestFinalityTracker:
@@ -419,20 +422,7 @@ class TestPerTrialLeakFlags:
             assert np.array_equal(batched.penalized[t], single.penalized)
 
 
-class TestOptionalBackends:
-    def test_missing_optional_backend_error_names_the_extra(self):
-        pytest.importorskip  # (no skip: this test targets the *absence* path)
-        try:
-            import numba  # noqa: F401
-
-            pytest.skip("numba installed: the missing-extra path is not reachable")
-        except ImportError:
-            pass
-        with pytest.raises(ValueError, match="numba.*optional.*pip install numba"):
-            get_backend("numba")
-        # The probe failure must not poison the registry.
-        assert {"numpy", "python"} <= set(available_backends())
-
+class TestUnknownBackends:
     def test_unknown_backend_error_lists_known_names(self):
         with pytest.raises(ValueError, match="fortran"):
             get_backend("fortran")

@@ -1,25 +1,28 @@
-"""Tests for the trial-batched engine and finality tracker.
+"""Tests for the trial-batched stake engine.
 
 The contract under test: a ``BatchedStakeEngine`` holding ``(trials,
 *entry_shape)`` state evolves every trial **bit-identically** to a
-standalone :class:`StakeEngine` fed that trial's row — per-element kernel
+standalone ``trials=1`` engine fed that trial's row — per-element kernel
 arithmetic is shape-independent and the weighted reductions use ``np.sum``
 over the entry axes, whose pairwise blocking depends only on the entry
-count.  Likewise :class:`BatchedFinalityTracker` must match the scalar
-streaming tracker element for element.
+count.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.ffg import BatchedFinalityTracker, FinalityTracker
-from repro.core.stake_engine import BatchedStakeEngine, StakeEngine
+from repro.core.stake_engine import BatchedStakeEngine
 from repro.spec.config import SpecConfig
 
 MAINNET = SpecConfig.mainnet()
 FAST = MAINNET.with_overrides(inactivity_penalty_quotient=2 ** 14)
 
 BACKENDS = ("numpy", "python")
+
+
+def standalone(stakes0, t, **kwargs):
+    """A ``trials=1`` engine holding row ``t`` of a batch's initial stakes."""
+    return BatchedStakeEngine(stakes0[t : t + 1], **kwargs)
 
 
 def make_states(seed=0, trials=6, n=8):
@@ -70,7 +73,7 @@ class TestBatchedMatchesPerTrialEngine:
         trials, n = stakes0.shape
         batched = BatchedStakeEngine(stakes0, config=FAST, backend=backend)
         singles = [
-            StakeEngine(stakes0[t], config=FAST, backend=backend)
+            standalone(stakes0, t, config=FAST, backend=backend)
             for t in range(trials)
         ]
         for _ in range(120):
@@ -78,18 +81,13 @@ class TestBatchedMatchesPerTrialEngine:
             leaks = rng.random(trials) < 0.8
             batched.step(active, in_leak=leaks)
             for t, engine in enumerate(singles):
-                engine.step(active[t], in_leak=bool(leaks[t]))
+                engine.step(active[t : t + 1], in_leak=bool(leaks[t]))
         for t, engine in enumerate(singles):
-            assert np.array_equal(batched.stakes[t], engine.stakes)
-            assert np.array_equal(batched.scores[t], engine.scores)
-            assert np.array_equal(batched.ejected[t], engine.ejected)
-            assert batched.total_stake()[t] == engine.total_stake()
-            for index, epoch in engine.ejection_epochs.items():
-                assert batched.ejection_epoch[t, index] == epoch
-            never = [
-                i for i in range(n) if i not in engine.ejection_epochs
-            ]
-            assert np.all(batched.ejection_epoch[t, never] == -1)
+            assert np.array_equal(batched.stakes[t], engine.stakes[0])
+            assert np.array_equal(batched.scores[t], engine.scores[0])
+            assert np.array_equal(batched.ejected[t], engine.ejected[0])
+            assert batched.total_stake()[t] == engine.total_stake()[0]
+            assert np.array_equal(batched.ejection_epoch[t], engine.ejection_epoch[0])
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_rewards_bit_identical(self, backend):
@@ -97,7 +95,7 @@ class TestBatchedMatchesPerTrialEngine:
         trials, n = stakes0.shape
         batched = BatchedStakeEngine(stakes0, config=MAINNET, backend=backend)
         singles = [
-            StakeEngine(stakes0[t], config=MAINNET, backend=backend)
+            standalone(stakes0, t, config=MAINNET, backend=backend)
             for t in range(trials)
         ]
         for _ in range(10):
@@ -105,9 +103,9 @@ class TestBatchedMatchesPerTrialEngine:
             leaks = rng.random(trials) < 0.3
             batched.apply_attestation_rewards(active, in_leak=leaks)
             for t, engine in enumerate(singles):
-                engine.apply_attestation_rewards(active[t], in_leak=bool(leaks[t]))
+                engine.apply_attestation_rewards(active[t : t + 1], in_leak=bool(leaks[t]))
         for t, engine in enumerate(singles):
-            assert np.array_equal(batched.stakes[t], engine.stakes)
+            assert np.array_equal(batched.stakes[t], engine.stakes[0])
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_slashings_bit_identical(self, backend):
@@ -115,16 +113,16 @@ class TestBatchedMatchesPerTrialEngine:
         trials, n = stakes0.shape
         batched = BatchedStakeEngine(stakes0, config=MAINNET, backend=backend)
         singles = [
-            StakeEngine(stakes0[t], config=MAINNET, backend=backend)
+            standalone(stakes0, t, config=MAINNET, backend=backend)
             for t in range(trials)
         ]
         slashable = rng.random((trials, n)) < 0.3
         batched.apply_slashings(slashable)
         for t, engine in enumerate(singles):
-            engine.apply_slashings(slashable[t])
-            assert np.array_equal(batched.stakes[t], engine.stakes)
-            assert np.array_equal(batched.slashed[t], engine.slashed)
-            assert np.array_equal(batched.ejected[t], engine.ejected)
+            engine.apply_slashings(slashable[t : t + 1])
+            assert np.array_equal(batched.stakes[t], engine.stakes[0])
+            assert np.array_equal(batched.slashed[t], engine.slashed[0])
+            assert np.array_equal(batched.ejected[t], engine.ejected[0])
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_reductions_match_per_trial_engine(self, backend):
@@ -135,20 +133,23 @@ class TestBatchedMatchesPerTrialEngine:
             stakes0, weights=weights, config=FAST, backend=backend
         )
         singles = [
-            StakeEngine(stakes0[t], weights=weights, config=FAST, backend=backend)
+            standalone(stakes0, t, weights=weights, config=FAST, backend=backend)
             for t in range(trials)
         ]
         for _ in range(60):
             active = rng.random((trials, n)) < 0.3
             batched.step(active)
             for t, engine in enumerate(singles):
-                engine.step(active[t])
+                engine.step(active[t : t + 1])
         mask = rng.random((trials, n)) < 0.5
         active = rng.random((trials, n)) < 0.5
         for t, engine in enumerate(singles):
-            assert batched.total_stake()[t] == engine.total_stake()
-            assert batched.stake_of(mask)[t] == engine.stake_of(mask[t])
-            assert batched.active_ratio(active)[t] == engine.active_ratio(active[t])
+            assert batched.total_stake()[t] == engine.total_stake()[0]
+            assert batched.stake_of(mask)[t] == engine.stake_of(mask[t : t + 1])[0]
+            assert (
+                batched.active_ratio(active)[t]
+                == engine.active_ratio(active[t : t + 1])[0]
+            )
 
     def test_raw_stake_of_keeps_ejected_values(self):
         # The Monte-Carlo stopping rule reads the Byzantine stake *raw*:
@@ -168,47 +169,3 @@ class TestBatchedMatchesPerTrialEngine:
         assert ratios[0] == 0.0
         assert ratios[1] == 1.0
 
-
-class TestBatchedFinalityTracker:
-    def test_matches_streaming_tracker_elementwise(self):
-        rng = np.random.default_rng(5)
-        trials, epochs = 7, 40
-        ratios = rng.random((trials, epochs)) * 0.5 + 0.45
-        batched = BatchedFinalityTracker(supermajority=2.0 / 3.0, trials=trials)
-        scalars = [FinalityTracker(supermajority=2.0 / 3.0) for _ in range(trials)]
-        for epoch in range(epochs):
-            justified, finalized_now = batched.observe(epoch, ratios[:, epoch])
-            for t, tracker in enumerate(scalars):
-                expected = tracker.observe(epoch, float(ratios[t, epoch]))
-                assert (bool(justified[t]), bool(finalized_now[t])) == expected
-        for t, tracker in enumerate(scalars):
-            assert batched.finalized[t] == tracker.finalized
-            assert batched.threshold_epoch[t] == (
-                -1 if tracker.threshold_epoch is None else tracker.threshold_epoch
-            )
-            assert batched.finalization_epoch[t] == (
-                -1 if tracker.finalization_epoch is None else tracker.finalization_epoch
-            )
-            assert batched.previous_justified[t] == tracker.previous_justified
-            assert batched.previous_active_ratio[t] == tracker.previous_active_ratio
-
-    def test_for_config_uses_supermajority(self):
-        tracker = BatchedFinalityTracker.for_config(3, MAINNET)
-        assert tracker.supermajority == MAINNET.supermajority_fraction
-        assert tracker.trials == 3
-
-    def test_shape_and_argument_validation(self):
-        tracker = BatchedFinalityTracker(supermajority=2.0 / 3.0, trials=2)
-        with pytest.raises(ValueError):
-            tracker.observe(0, np.array([0.5, 0.5, 0.5]))
-        with pytest.raises(ValueError):
-            BatchedFinalityTracker(supermajority=2.0 / 3.0, trials=-1)
-
-    def test_finalization_reported_once(self):
-        tracker = BatchedFinalityTracker(supermajority=2.0 / 3.0, trials=1)
-        tracker.observe(0, np.array([0.7]))
-        _, now = tracker.observe(1, np.array([0.8]))
-        assert bool(now[0])
-        _, again = tracker.observe(2, np.array([0.9]))
-        assert not bool(again[0])
-        assert tracker.finalization_epoch[0] == 1

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.backend import RewardRules, SlashingRules, get_backend
-from repro.core.stake_engine import StakeEngine
+from repro.core.stake_engine import BatchedStakeEngine
 from repro.spec.config import SpecConfig
 
 MAINNET = SpecConfig.mainnet()
@@ -204,47 +204,49 @@ class TestSlashingKernel:
 
 
 class TestStakeEngineIncentives:
+    """Incentive updates on a single population (a ``trials=1`` engine)."""
+
     def test_apply_attestation_rewards_updates_stakes(self):
-        engine = StakeEngine([30.0, 30.0], config=MINIMAL)
-        outcome = engine.apply_attestation_rewards([True, False], in_leak=False)
-        assert float(engine.stakes[0]) > 30.0
-        assert float(engine.stakes[1]) < 30.0
+        engine = BatchedStakeEngine([[30.0, 30.0]], config=MINIMAL)
+        outcome = engine.apply_attestation_rewards([[True, False]], in_leak=False)
+        assert float(engine.stakes[0, 0]) > 30.0
+        assert float(engine.stakes[0, 1]) < 30.0
         assert outcome.total_rewards > 0.0
         assert outcome.total_penalties > 0.0
 
     def test_apply_slashings_marks_and_ejects(self):
-        engine = StakeEngine([32.0, 32.0], config=MINIMAL)
-        outcome = engine.apply_slashings([True, False])
-        assert engine.slashed.tolist() == [True, False]
-        assert engine.ejected.tolist() == [True, False]
-        assert engine.ejection_epochs == {0: 0}
+        engine = BatchedStakeEngine([[32.0, 32.0]], config=MINIMAL)
+        outcome = engine.apply_slashings([[True, False]])
+        assert engine.slashed.tolist() == [[True, False]]
+        assert engine.ejected.tolist() == [[True, False]]
+        assert engine.ejection_epoch.tolist() == [[0, -1]]
         assert outcome.total_penalty > 0.0
         # Slashing the same entry again is a no-op.
-        again = engine.apply_slashings([True, False])
+        again = engine.apply_slashings([[True, False]])
         assert not again.newly_slashed.any()
         assert again.total_penalty == 0.0
 
     def test_slashed_entries_skip_rewards(self):
-        engine = StakeEngine([30.0, 30.0], config=MINIMAL)
-        engine.apply_slashings([True, False])
-        stake_after_slash = float(engine.stakes[0])
-        engine.apply_attestation_rewards([True, True], in_leak=False)
-        assert float(engine.stakes[0]) == stake_after_slash
+        engine = BatchedStakeEngine([[30.0, 30.0]], config=MINIMAL)
+        engine.apply_slashings([[True, False]])
+        stake_after_slash = float(engine.stakes[0, 0])
+        engine.apply_attestation_rewards([[True, True]], in_leak=False)
+        assert float(engine.stakes[0, 0]) == stake_after_slash
 
     def test_engine_backends_agree_on_incentives(self):
         rng = np.random.default_rng(13)
         finals = {}
         for backend in ("numpy", "python"):
             rng = np.random.default_rng(13)
-            engine = StakeEngine(
-                rng.uniform(0.0, 32.0, size=40), config=MINIMAL, backend=backend
+            engine = BatchedStakeEngine(
+                rng.uniform(0.0, 32.0, size=(1, 40)), config=MINIMAL, backend=backend
             )
             for round_index in range(20):
-                active = rng.random(40) < 0.5
+                active = rng.random((1, 40)) < 0.5
                 engine.apply_attestation_rewards(active, in_leak=round_index % 2 == 0)
                 engine.step(active, in_leak=round_index % 2 == 0)
                 if round_index == 10:
-                    engine.apply_slashings(rng.random(40) < 0.1)
+                    engine.apply_slashings(rng.random((1, 40)) < 0.1)
             finals[backend] = (engine.stakes, engine.scores, engine.ejected, engine.slashed)
         for a, b in zip(finals["numpy"], finals["python"]):
             assert np.array_equal(a, b)

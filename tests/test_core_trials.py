@@ -5,6 +5,8 @@ The headline property: a seeded run's results are bit-identical whatever
 trial count, the chunk size and the root seed.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -19,17 +21,16 @@ from repro.core.trials import (
     plan_task_chunks,
     resolve_jobs,
     run_chunk_groups,
-    run_chunked,
     run_task_chunks,
-    run_trials,
 )
 from repro.experiments import registry
 from repro.experiments.runner import build_parser, run_experiments
 from repro.spec.config import SpecConfig
 
 
-def draw_sum(trial_index, rng):
-    """Picklable per-trial worker: a few draws folded into one float."""
+def draw_sum(trial_index, seed=0):
+    """Picklable per-trial worker seeding itself from its index."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial_index,)))
     return trial_index, float(np.sum(rng.random(5)))
 
 
@@ -82,12 +83,10 @@ class TestChunkPlanning:
 class TestChunkPlanningEdgeCases:
     def test_zero_trials_rejected(self):
         # A zero-trial run is an error, not an empty plan: every consumer
-        # (run_chunked, run_chunk_groups, the Monte-Carlo layers) validates
-        # its trial count before planning.
+        # (run_chunk_groups, the Monte-Carlo layers) validates its trial
+        # count before planning.
         with pytest.raises(ValueError):
             plan_chunks(0, seed=3)
-        with pytest.raises(ValueError):
-            run_chunked(lambda chunk: [], 0, seed=3)
         with pytest.raises(ValueError):
             run_chunk_groups(lambda group: [], 0, seed=3)
 
@@ -110,8 +109,9 @@ class TestChunkPlanningEdgeCases:
 
     def test_jobs_exceeding_trials(self):
         # More workers than trials must not duplicate or drop results.
-        few = run_trials(draw_sum, 3, seed=11, jobs=8, chunk_size=1)
-        serial = run_trials(draw_sum, 3, seed=11, jobs=1, chunk_size=1)
+        trial = partial(draw_sum, seed=11)
+        few = parallel_map(trial, range(3), jobs=8, chunk_size=1)
+        serial = parallel_map(trial, range(3), jobs=1, chunk_size=1)
         assert few == serial
         assert [index for index, _ in few] == [0, 1, 2]
 
@@ -171,14 +171,14 @@ class TestRunChunkGroups:
         )
         assert serial == parallel
 
-    def test_matches_per_chunk_runner_streams(self):
+    def test_matches_per_chunk_streams(self):
         # The grouped runner must consume exactly the per-chunk streams of
-        # run_chunked: same plan, same seeds, same draws.
-        def chunk_worker(chunk):
-            rng = chunk.rng()
-            return [float(value) for value in rng.random(chunk.size)]
-
-        chunked = run_chunked(chunk_worker, 21, seed=6, chunk_size=4)
+        # the plan: same chunks, same seeds, same draws.
+        chunked = [
+            float(value)
+            for chunk in plan_chunks(21, seed=6, chunk_size=4)
+            for value in chunk.rng().random(chunk.size)
+        ]
         grouped = run_chunk_groups(
             group_draw_worker, 21, seed=6, chunk_size=4, batch=16
         )
@@ -192,27 +192,24 @@ class TestRunChunkGroups:
             run_chunk_groups(bad_worker, 6, seed=0, chunk_size=2, batch=4)
 
 
-class TestRunTrials:
+class TestSeededTrialsThroughParallelMap:
+    """Self-seeding per-trial work mapped over trial indices."""
+
     def test_serial_equals_parallel(self):
-        serial = run_trials(draw_sum, 9, seed=42, jobs=1, chunk_size=3)
-        parallel = run_trials(draw_sum, 9, seed=42, jobs=3, chunk_size=3)
+        trial = partial(draw_sum, seed=42)
+        serial = parallel_map(trial, range(9), jobs=1, chunk_size=3)
+        parallel = parallel_map(trial, range(9), jobs=3, chunk_size=3)
         assert serial == parallel
 
     def test_results_ordered_by_trial(self):
-        results = run_trials(draw_sum, 6, seed=0, chunk_size=2)
+        results = parallel_map(draw_sum, range(6), chunk_size=2)
         assert [index for index, _ in results] == list(range(6))
 
     def test_chunk_size_does_not_change_per_trial_streams(self):
-        coarse = run_trials(draw_sum, 8, seed=5, chunk_size=8)
-        fine = run_trials(draw_sum, 8, seed=5, chunk_size=1)
+        trial = partial(draw_sum, seed=5)
+        coarse = parallel_map(trial, range(8), chunk_size=8)
+        fine = parallel_map(trial, range(8), chunk_size=1)
         assert coarse == fine
-
-    def test_chunk_worker_must_return_one_result_per_trial(self):
-        def bad_worker(chunk):
-            return [0] * (chunk.size + 1)
-
-        with pytest.raises(ValueError):
-            run_chunked(bad_worker, 4, seed=0, chunk_size=2)
 
 
 class TestParallelMap:
@@ -225,6 +222,10 @@ class TestParallelMap:
         assert parallel_map(square, items, jobs=2) == parallel_map(
             square, items, jobs=1
         )
+
+    def test_empty_and_single_item(self):
+        assert parallel_map(square, [], jobs=2) == []
+        assert parallel_map(square, [3], jobs=2) == [9]
 
 
 def square(x):

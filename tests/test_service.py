@@ -23,7 +23,7 @@ from repro.cache import ResultCache
 from repro.service.cli import main as service_main
 from repro.service.executor import execute_job, run_worker_loop
 from repro.service.jobs import JobRecord, JobStore
-from repro.sim.sweeps import ScenarioSpec, run_sweep
+from repro.sim.sweeps import ScenarioSpec, run_sweep_resumable
 
 #: The sweep scenario of the integration tests: heavy enough that a
 #: worker can be killed mid-run (~tens of ms per trial), light enough
@@ -140,6 +140,25 @@ class TestJobStore:
         # The stale lock was reclaimed: the job can be claimed again.
         assert store.claim("dead") is not None
 
+    def test_recover_releases_a_queued_jobs_dead_lock(self, tmp_path):
+        # A claimant killed after creating the O_EXCL lock but before
+        # saving the running record leaves a queued job nobody can claim.
+        store = JobStore(tmp_path)
+        store.submit("sweep", sweep_spec(), job_id="stuck")
+        store.submit("sweep", sweep_spec(), job_id="waiting")
+        store.lock_path("stuck").write_text(str(2 ** 22 + 12345))
+        # A lock with a live pid (a claim in progress) is left alone.
+        store.lock_path("waiting").write_text(str(os.getpid()))
+        assert store.claim("stuck") is None
+        recovered = store.recover()
+        assert [r.job_id for r in recovered] == ["stuck"]
+        assert store.lock_path("waiting").exists()
+        assert store.get("stuck").state == "queued"
+        assert store.get("stuck").attempts == 0  # the dead claim consumed none
+        claimed = store.claim("stuck")
+        assert claimed is not None and claimed.attempts == 1
+        assert store.recover() == []
+
     def test_recover_fails_jobs_out_of_budget(self, tmp_path):
         store = JobStore(tmp_path)
         record = store.submit("sweep", sweep_spec(), max_attempts=1)
@@ -168,7 +187,7 @@ class TestExecutor:
         assert final.state == "done"
         assert final.progress == {"total": 2, "done": 2, "cached": 0}
         rows = final.result["trial_rows"]
-        plain = run_sweep(SWEEP_SCENARIO, 2, jobs=1)
+        plain = run_sweep_resumable([SWEEP_SCENARIO], 2, jobs=1)
         assert json.dumps(rows) == json.dumps(plain.rows())
 
     def test_experiment_job_shares_the_runner_cache_address(self, tmp_path):

@@ -18,9 +18,6 @@ from repro.sim.sweeps import (
     SWEEP_CHUNK_SIZE,
     TRIAL_EXPERIMENT,
     ScenarioSpec,
-    run_sweep,
-    run_sweep_cached,
-    run_sweep_grid,
     run_sweep_resumable,
     summarize_trial,
     trial_cache_query,
@@ -92,19 +89,23 @@ class TestJobsInvariance:
     N_TRIALS = 4
 
     def test_rows_byte_identical_across_jobs(self):
-        serial = run_sweep(BALANCING, self.N_TRIALS, jobs=1)
-        parallel = run_sweep(BALANCING, self.N_TRIALS, jobs=2, chunk_size=2)
+        serial = run_sweep_resumable([BALANCING], self.N_TRIALS, jobs=1)
+        parallel = run_sweep_resumable(
+            [BALANCING], self.N_TRIALS, jobs=2, chunk_size=2
+        )
         assert rows_json(serial) == rows_json(parallel)
 
     def test_rows_byte_identical_across_chunk_sizes(self):
-        coarse = run_sweep(BALANCING, self.N_TRIALS, jobs=1, chunk_size=SWEEP_CHUNK_SIZE)
-        fine = run_sweep(BALANCING, self.N_TRIALS, jobs=1, chunk_size=1)
+        coarse = run_sweep_resumable(
+            [BALANCING], self.N_TRIALS, jobs=1, chunk_size=SWEEP_CHUNK_SIZE
+        )
+        fine = run_sweep_resumable([BALANCING], self.N_TRIALS, jobs=1, chunk_size=1)
         assert rows_json(coarse) == rows_json(fine)
 
     def test_rows_byte_identical_on_python_backend(self):
         spec = BALANCING.with_overrides(backend="python")
-        serial = run_sweep(spec, 2, jobs=1)
-        parallel = run_sweep(spec, 2, jobs=2, chunk_size=1)
+        serial = run_sweep_resumable([spec], 2, jobs=1)
+        parallel = run_sweep_resumable([spec], 2, jobs=2, chunk_size=1)
         assert rows_json(serial) == rows_json(parallel)
 
     def test_grid_rows_in_spec_major_order(self):
@@ -112,7 +113,7 @@ class TestJobsInvariance:
             ScenarioSpec(builder="honest", kwargs={"n_validators": 8}, label="a"),
             ScenarioSpec(builder="honest", kwargs={"n_validators": 12}, label="b"),
         ]
-        result = run_sweep_grid(specs, 2, jobs=2, chunk_size=1)
+        result = run_sweep_resumable(specs, 2, jobs=2, chunk_size=1)
         assert [(row["scenario"], row["trial"]) for row in result.rows()] == [
             ("a", 0),
             ("a", 1),
@@ -123,22 +124,22 @@ class TestJobsInvariance:
         assert [spec["label"] for spec in result.specs] == ["a", "b"]
 
     def test_trials_are_seed_decorrelated_but_reproducible(self):
-        result = run_sweep(BALANCING, 3, jobs=1)
-        again = run_sweep(BALANCING, 3, jobs=1)
+        result = run_sweep_resumable([BALANCING], 3, jobs=1)
+        again = run_sweep_resumable([BALANCING], 3, jobs=1)
         assert rows_json(result) == rows_json(again)
         seeds = [row["seed"] for row in result.rows()]
         assert len(set(seeds)) == 3
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            run_sweep(BALANCING, 0)
+            run_sweep_resumable([BALANCING], 0)
         with pytest.raises(ValueError):
-            run_sweep_grid([], 2)
+            run_sweep_resumable([], 2)
 
 
 class TestSweepResult:
     def test_aggregate_reports_hold_statistics(self):
-        result = run_sweep(BALANCING, 2, jobs=1)
+        result = run_sweep_resumable([BALANCING], 2, jobs=1)
         (summary,) = result.aggregate()
         assert summary["scenario"] == BALANCING.name
         assert summary["n_trials"] == 2
@@ -151,26 +152,23 @@ class TestSweepResult:
             ScenarioSpec(builder="honest", kwargs={"n_validators": 8}, label="a"),
             ScenarioSpec(builder="honest", kwargs={"n_validators": 8}, label="b"),
         ]
-        result = run_sweep_grid(specs, 2, jobs=1)
+        result = run_sweep_resumable(specs, 2, jobs=1)
         assert len(result.rows_for("a")) == 2
         assert all(row["scenario"] == "a" for row in result.rows_for("a"))
 
 
 class TestCachedSweeps:
-    def test_cold_and_cached_rows_byte_identical(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cold, cold_hit = run_sweep_cached([BALANCING], 2, cache, jobs=1)
-        warm, warm_hit = run_sweep_cached([BALANCING], 2, cache, jobs=2, chunk_size=1)
-        assert not cold_hit and warm_hit
-        assert rows_json(cold) == rows_json(warm)
-        live = run_sweep(BALANCING, 2, jobs=1)
-        assert rows_json(cold) == rows_json(live)
-
-    def test_different_trial_count_misses(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        run_sweep_cached([BALANCING], 2, cache, jobs=1)
-        _, hit = run_sweep_cached([BALANCING], 3, cache, jobs=1)
-        assert not hit
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_uncached_cold_and_warm_rows_byte_identical(self, tmp_path, backend):
+        spec = BALANCING.with_overrides(backend=backend)
+        uncached = run_sweep_resumable([spec], 2, jobs=1)
+        cold_cache = ResultCache(tmp_path)
+        cold = run_sweep_resumable([spec], 2, cold_cache, jobs=1)
+        warm_cache = ResultCache(tmp_path)
+        warm = run_sweep_resumable([spec], 2, warm_cache, jobs=2, chunk_size=1)
+        assert (cold_cache.stats.stores, warm_cache.stats.hits) == (2, 2)
+        assert warm_cache.stats.stores == 0
+        assert rows_json(uncached) == rows_json(cold) == rows_json(warm)
 
 
 class TestResumableSweeps:
@@ -181,7 +179,7 @@ class TestResumableSweeps:
     def test_rows_match_the_plain_sweep_byte_for_byte(self, tmp_path):
         cache = ResultCache(tmp_path)
         resumable = run_sweep_resumable([self.SPEC], 3, cache, jobs=1)
-        plain = run_sweep(self.SPEC, 3, jobs=1)
+        plain = run_sweep_resumable([self.SPEC], 3, jobs=1)
         assert rows_json(resumable) == rows_json(plain)
         assert cache.stats.stores == 3
 
@@ -257,7 +255,7 @@ class TestResumableSweeps:
             ("b", 0),
             ("b", 1),
         ]
-        plain = run_sweep_grid(specs, 2, jobs=1)
+        plain = run_sweep_resumable(specs, 2, jobs=1)
         assert rows_json(result) == rows_json(plain)
 
     def test_trial_entries_live_under_the_trial_experiment_id(self, tmp_path):
